@@ -14,10 +14,19 @@
    node still points to that first unsafe node.  Validation compares the
    *physical* link record, so any concurrent CAS on the link is detected.
 
-   Hazard-slot roles (§3.2): Hp0 = next, Hp1 = curr, Hp2 = last safe node
-   (prev), Hp3 = first unsafe node.  All [dup] calls copy from a lower to a
-   higher index, preserving the ascending-order discipline the paper
-   requires to avoid the transient-unprotected race in retire scans.
+   Hazard-slot roles (§3.2): next, curr, last safe node (prev) and first
+   unsafe node.  The first unsafe node always lives in Hp3; the other three
+   roles are slot indices kept in the handle, set to Hp0 = next, Hp1 = curr,
+   Hp2 = prev at the start of every attempt.  A hop rotates the roles
+   instead of copying reservations between slots: in the safe zone the
+   curr slot becomes prev, the next slot becomes curr, and the old prev
+   slot becomes next and receives the hop's one [protect]; in the dangerous
+   zone curr and next swap.  Each hop therefore publishes one reservation
+   and leaves the protected set exactly as the copying version would, and
+   since no reservation moves between slots, the transient-unprotected race
+   of the paper's ascending-copy rule cannot arise.  The one [dup] left
+   copies curr into Hp3 on entering a marked chain: Hp3 is the highest
+   slot, so the copy is ascending whatever slot curr holds.
 
    The operation fast paths are allocation-free: protected loads go through
    the scheme's staged reader (built once per handle), link values are the
@@ -66,6 +75,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     mutable expected : N.link;
     mutable pos_curr : N.t;
     mutable pos_next : N.link;
+    (* Hazard slots currently holding the next, curr and prev roles. *)
+    mutable r_next : int;
+    mutable r_curr : int;
+    mutable r_prev : int;
   }
 
   let create ?(recovery = true) ?(recycle = true) ~smr ~threads () =
@@ -81,18 +94,22 @@ module Make (S : Smr.Smr_intf.S) = struct
       recovery;
     }
 
-  let handle t ~tid =
-    let s = S.register t.smr ~tid in
+  let handle_on t s =
     {
       t;
       s;
-      tid;
+      tid = S.tid s;
       rdr = S.reader s N.desc;
       prev = t.head;
       expected = N.null_link;
       pos_curr = t.tail;
       pos_next = N.null_link;
+      r_next = hp_next;
+      r_curr = hp_curr;
+      r_prev = hp_prev;
     }
+
+  let handle t ~tid = handle_on t (S.register t.smr ~tid)
 
   let node_of (l : N.link) =
     match l.ln with Some n -> n | None -> assert false (* tail is a barrier *)
@@ -116,6 +133,25 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let no_step () = ()
 
+  let reset_roles h =
+    h.r_next <- hp_next;
+    h.r_curr <- hp_curr;
+    h.r_prev <- hp_prev
+
+  (* Safe-zone hop: curr becomes the last safe node and next becomes curr
+     where they already sit; the old prev slot is free for the new next. *)
+  let rotate_roles h =
+    let free = h.r_prev in
+    h.r_prev <- h.r_curr;
+    h.r_curr <- h.r_next;
+    h.r_next <- free
+
+  (* Dangerous-zone hop: next becomes curr; the old curr slot is free. *)
+  let swap_curr_next h =
+    let free = h.r_curr in
+    h.r_curr <- h.r_next;
+    h.r_next <- free
+
   (* Do_Find.  Results land in [h.prev]/[h.expected]/[h.pos_curr]/
      [h.pos_next]; the body is a top-level recursion over explicit
      arguments (including the bracket token) so a steady-state attempt
@@ -127,12 +163,13 @@ module Make (S : Smr.Smr_intf.S) = struct
       do_find h tok key ~srch ~on_step
 
   and find_attempt h tok key ~srch ~on_step =
-    let first = protect_link h tok ~slot:hp_curr h.t.head in
+    reset_roles h;
+    let first = protect_link h tok ~slot:h.r_curr h.t.head in
     h.prev <- h.t.head;
     h.expected <- first;
     let first = node_of first in
     step h tok key ~srch ~on_step first
-      (protect_link h tok ~slot:hp_next (N.next_field first))
+      (protect_link h tok ~slot:h.r_next (N.next_field first))
 
   (* Dangerous-zone validation: the last safe node must still hold the
      exact link record we read from it.  On failure, §3.2.1 recovery
@@ -145,26 +182,27 @@ module Make (S : Smr.Smr_intf.S) = struct
     if Atomic.get h.prev == h.expected then None
     else if not h.t.recovery then raise Restart
     else begin
-      let l = protect_link h tok ~slot:hp_curr h.prev in
+      let l = protect_link h tok ~slot:h.r_curr h.prev in
       if l.N.marked then raise Restart;
       h.expected <- l;
       Some (node_of l)
     end
 
   (* Phase 1 ([step] on an unmarked [next]): the safe zone.  Identical
-     hazard discipline to the Harris-Michael list: shift curr->prev
-     (Hp1->Hp2) and next->curr (Hp0->Hp1) while nodes are unmarked.
+     hazard discipline to the Harris-Michael list: curr becomes prev and
+     next becomes curr (a role rotation) while nodes are unmarked.
 
      Phase 2: the dangerous zone.  [curr] is marked and [next] is its
-     (marked) successor link whose target is protected in Hp0 but not yet
-     validated.  We validate the last safe link *before* dereferencing
-     the protected target (Theorem 2's ordering), then advance. *)
+     (marked) successor link whose target is protected in the next slot
+     but not yet validated.  We validate the last safe link *before*
+     dereferencing the protected target (Theorem 2's ordering), then
+     advance by swapping the curr and next roles. *)
   and step h tok key ~srch ~on_step (curr : N.t) (next : N.link) =
     on_step ();
     if next.N.marked then begin
       (* [curr] is logically deleted: protect the first unsafe node and
          enter the dangerous zone. *)
-      S.dup h.s ~src:hp_curr ~dst:hp_unsafe;
+      S.dup h.s ~src:h.r_curr ~dst:hp_unsafe;
       phase2 h tok key ~srch ~on_step ~zstart:curr next
     end
     else if N.key curr >= key then begin
@@ -174,11 +212,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     else begin
       h.prev <- N.next_field curr;
       h.expected <- next;
-      S.dup h.s ~src:hp_curr ~dst:hp_prev;
+      rotate_roles h;
       let curr' = node_of next in
-      S.dup h.s ~src:hp_next ~dst:hp_curr;
       step h tok key ~srch ~on_step curr'
-        (protect_link h tok ~slot:hp_next (N.next_field curr'))
+        (protect_link h tok ~slot:h.r_next (N.next_field curr'))
     end
 
   and phase2 h tok key ~srch ~on_step ~zstart (next : N.link) =
@@ -186,11 +223,11 @@ module Make (S : Smr.Smr_intf.S) = struct
     match validate h tok with
     | Some recovered ->
         step h tok key ~srch ~on_step recovered
-          (protect_link h tok ~slot:hp_next (N.next_field recovered))
+          (protect_link h tok ~slot:h.r_next (N.next_field recovered))
     | None ->
         let curr' = node_of next in
-        S.dup h.s ~src:hp_next ~dst:hp_curr;
-        let next' = protect_link h tok ~slot:hp_next (N.next_field curr') in
+        swap_curr_next h;
+        let next' = protect_link h tok ~slot:h.r_next (N.next_field curr') in
         if next'.N.marked then phase2 h tok key ~srch ~on_step ~zstart next'
         else if srch then
           (* Search skips the chain without unlinking (read-only). *)
@@ -353,14 +390,15 @@ module Make (S : Smr.Smr_intf.S) = struct
         scan h tok ~lo ~hi acc
 
   and scan_attempt h tok ~lo ~hi acc =
-    let first_g = S.protect h.rdr tok ~slot:hp_curr h.t.head in
+    reset_roles h;
+    let first_g = S.protect h.rdr tok ~slot:h.r_curr h.t.head in
     let first = G.deref first_g tok in
     h.prev <- h.t.head;
     h.expected <- first;
     scan_step h tok ~lo ~hi acc (node_of first)
 
   and scan_step h tok ~lo ~hi acc (curr : N.t) =
-    let next_g = S.protect h.rdr tok ~slot:hp_next (N.next_field curr) in
+    let next_g = S.protect h.rdr tok ~slot:h.r_next (N.next_field curr) in
     scan_emit h tok ~lo ~hi acc curr next_g
 
   (* [next_g] is the guard for [curr]'s successor link, still branded: it
@@ -370,7 +408,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     if next.N.marked then begin
       (* [curr] is logically deleted — enter the dangerous zone exactly
          like [step], but read-only. *)
-      S.dup h.s ~src:hp_curr ~dst:hp_unsafe;
+      S.dup h.s ~src:h.r_curr ~dst:hp_unsafe;
       scan_zone h tok ~lo ~hi acc next
     end
     else
@@ -385,10 +423,8 @@ module Make (S : Smr.Smr_intf.S) = struct
         begin
           h.prev <- N.next_field curr;
           h.expected <- next;
-          S.dup h.s ~src:hp_curr ~dst:hp_prev;
-          let curr' = node_of next in
-          S.dup h.s ~src:hp_next ~dst:hp_curr;
-          scan_step h tok ~lo ~hi acc curr'
+          rotate_roles h;
+          scan_step h tok ~lo ~hi acc (node_of next)
         end
 
   and scan_zone h tok ~lo ~hi acc (next : N.link) =
@@ -396,8 +432,8 @@ module Make (S : Smr.Smr_intf.S) = struct
     | Some recovered -> scan_step h tok ~lo ~hi acc recovered
     | None ->
         let curr' = node_of next in
-        S.dup h.s ~src:hp_next ~dst:hp_curr;
-        let next_g' = S.protect h.rdr tok ~slot:hp_next (N.next_field curr') in
+        swap_curr_next h;
+        let next_g' = S.protect h.rdr tok ~slot:h.r_next (N.next_field curr') in
         let next' = G.deref next_g' tok in
         if next'.N.marked then scan_zone h tok ~lo ~hi acc next'
         else scan_emit h tok ~lo ~hi acc curr' next_g'
@@ -407,11 +443,6 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let range_mem h ~lo ~hi =
     if lo > hi then [] else S.with_op3 h.s range_body h lo hi
-
-  (* Batch composition entry point (see the interface comment): enter one
-     bracket on this handle's registration and hand its token to a body
-     that dispatches to the exported op bodies above. *)
-  let with_op2 h body a b = S.with_op2 h.s body a b
 
   (* Force the scheme's reclamation machinery; for shutdown and tests. *)
   let quiesce h = S.flush h.s

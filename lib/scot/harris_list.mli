@@ -12,16 +12,19 @@
 
     Keys may be any [int] below [max_int] (the tail-sentinel key). *)
 
-(** Hazard-slot roles used by the traversal (§3.2). *)
+(** Hazard-slot roles used by the traversal (§3.2).  The next, curr and
+    prev roles start every attempt in slots 0, 1 and 2 and then rotate
+    among those three slots as the traversal hops, so that each hop makes
+    one protected load and no slot-to-slot copy. *)
 
 val hp_next : int
-(** Slot 0: the next node. *)
+(** Slot 0: the next node, at the start of an attempt. *)
 
 val hp_curr : int
-(** Slot 1: the current node. *)
+(** Slot 1: the current node, at the start of an attempt. *)
 
 val hp_prev : int
-(** Slot 2: the last safe (unmarked) node. *)
+(** Slot 2: the last safe (unmarked) node, at the start of an attempt. *)
 
 val hp_unsafe : int
 (** Slot 3: the first unsafe node — the head of the marked chain. *)
@@ -47,6 +50,12 @@ module Make (S : Smr.Smr_intf.S) : sig
 
   val handle : t -> tid:int -> handle
   (** Register thread [tid] (0-based, < [threads]) and return its handle. *)
+
+  val handle_on : t -> S.th -> handle
+  (** A handle over an existing registration of [t]'s SMR instance, so
+      several lists sharing one instance (the hash map's buckets) can share
+      one registration per thread.  Handles built on one registration must
+      only be used by its owner, one operation at a time. *)
 
   val insert : handle -> int -> bool
   (** [insert h k] adds [k]; [false] if already present.  Lock-free. *)
@@ -85,18 +94,14 @@ module Make (S : Smr.Smr_intf.S) : sig
       (the hash map's [apply_batch], the store tier's batch dispatch)
       execute a whole group of operations under a single
       [start_op]/[end_op], paying one reservation publish per group
-      instead of per op.  Rules: enter the bracket through {!with_op2} on
-      a handle of the same thread id and SMR instance as every handle the
-      body touches (bucket handles of one hash-map handle satisfy this by
-      construction — per-tid reservation cells are physically shared
-      across registrations), and run the bodies sequentially: element
-      [i+1] reuses the hazard slots of element [i], exactly as two
-      back-to-back brackets would.  Holding the bracket across the group
-      delays era/epoch release until the group ends — the deliberate
-      batching trade-off (memory held slightly longer for fewer publishes). *)
-
-  val with_op2 : handle -> ('a, 'b, 'r) Smr.Smr_intf.op2 -> 'a -> 'b -> 'r
-  (** Enter one branded bracket on this handle's registration. *)
+      instead of per op.  Rules: enter the bracket ([S.with_op2]) on the
+      one registration every handle the body touches is built on (the
+      bucket handles of one hash-map handle, see {!handle_on}), and run
+      the bodies sequentially: element [i+1] reuses the hazard slots of
+      element [i], exactly as two back-to-back brackets would.  Holding
+      the bracket across the group delays era/epoch release until the
+      group ends — the deliberate batching trade-off (memory held slightly
+      longer for fewer publishes). *)
 
   val search_body : (handle, int, bool) Smr.Smr_intf.op2
 

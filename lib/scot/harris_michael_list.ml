@@ -8,7 +8,13 @@
    traversed.  The price is more CAS operations, mandatory restarts under
    contention (Table 2) and no read-only searches.
 
-   Hazard-slot roles: Hp0 = next, Hp1 = curr, Hp2 = prev.
+   Hazard-slot roles: next, curr and prev, kept as slot indices in the
+   handle and set to Hp0 = next, Hp1 = curr, Hp2 = prev at the start of
+   every attempt.  As in [Harris_list], a hop rotates the roles instead of
+   copying reservations: a safe hop turns the curr slot into prev, the
+   next slot into curr and the old prev slot into next; an eager unlink
+   swaps curr and next.  The hop's one [protect] goes into the new next
+   slot, so the list makes no [dup] at all.
 
    Like [Harris_list], the operation fast paths are allocation-free: staged
    protected loads, canonical link records, prebuilt retire records, and
@@ -45,6 +51,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     mutable expected : N.link;
     mutable pos_curr : N.t;
     mutable pos_next : N.link;
+    (* Hazard slots currently holding the next, curr and prev roles. *)
+    mutable r_next : int;
+    mutable r_curr : int;
+    mutable r_prev : int;
   }
 
   let create ?(recycle = true) ~smr ~threads () =
@@ -70,6 +80,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       expected = N.null_link;
       pos_curr = t.tail;
       pos_next = N.null_link;
+      r_next = hp_next;
+      r_curr = hp_curr;
+      r_prev = hp_prev;
     }
 
   let node_of (l : N.link) =
@@ -81,6 +94,25 @@ module Make (S : Smr.Smr_intf.S) = struct
   let protect_link h tok ~slot field =
     G.deref (S.protect h.rdr tok ~slot field) tok
 
+  let reset_roles h =
+    h.r_next <- hp_next;
+    h.r_curr <- hp_curr;
+    h.r_prev <- hp_prev
+
+  (* Safe hop: curr becomes prev and next becomes curr where they already
+     sit; the old prev slot is free for the new next. *)
+  let rotate_roles h =
+    let free = h.r_prev in
+    h.r_prev <- h.r_curr;
+    h.r_curr <- h.r_next;
+    h.r_next <- free
+
+  (* Eager unlink: next becomes curr; the unlinked curr's slot is free. *)
+  let swap_curr_next h =
+    let free = h.r_curr in
+    h.r_curr <- h.r_next;
+    h.r_next <- free
+
   let rec do_find h tok key =
     try find_attempt h tok key
     with Restart ->
@@ -88,13 +120,14 @@ module Make (S : Smr.Smr_intf.S) = struct
       do_find h tok key
 
   and find_attempt h tok key =
-    let first = protect_link h tok ~slot:hp_curr h.t.head in
+    reset_roles h;
+    let first = protect_link h tok ~slot:h.r_curr h.t.head in
     h.prev <- h.t.head;
     h.expected <- first;
     step h tok key (node_of first)
 
   and step h tok key (curr : N.t) =
-    let next = protect_link h tok ~slot:hp_next (N.next_field curr) in
+    let next = protect_link h tok ~slot:h.r_next (N.next_field curr) in
     if next.N.marked then begin
       (* Eager unlink of the single marked node; restart on failure. *)
       let desired = N.unmarked_copy next in
@@ -102,9 +135,8 @@ module Make (S : Smr.Smr_intf.S) = struct
         raise Restart;
       S.retire h.s curr.N.rc;
       h.expected <- desired;
-      let curr' = node_of next in
-      S.dup h.s ~src:hp_next ~dst:hp_curr;
-      step h tok key curr'
+      swap_curr_next h;
+      step h tok key (node_of next)
     end
     else if N.key curr >= key then begin
       h.pos_curr <- curr;
@@ -113,10 +145,8 @@ module Make (S : Smr.Smr_intf.S) = struct
     else begin
       h.prev <- N.next_field curr;
       h.expected <- next;
-      S.dup h.s ~src:hp_curr ~dst:hp_prev;
-      let curr' = node_of next in
-      S.dup h.s ~src:hp_next ~dst:hp_curr;
-      step h tok key curr'
+      rotate_roles h;
+      step h tok key (node_of next)
     end
 
   let check_key key =

@@ -7,6 +7,10 @@
     HP-compatible without SCOT, at the price of more CAS traffic, mandatory
     restarts under contention (Table 2) and no read-only searches. *)
 
+(** Hazard slots of the next, curr and prev roles at the start of an
+    attempt; the roles then rotate among these three slots as the
+    traversal hops (see {!Harris_list.hp_next}). *)
+
 val hp_next : int
 val hp_curr : int
 val hp_prev : int

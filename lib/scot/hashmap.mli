@@ -1,8 +1,10 @@
 (** Lock-free hash set: an array of SCOT Harris lists (§2.3, §6.2).
 
-    All buckets share one SMR instance (a thread runs one bucket operation
-    at a time, so one set of hazard slots per thread suffices); each bucket
-    owns its node pool.  Compatible with every scheme the SCOT list is. *)
+    All buckets share one SMR instance and a map handle registers its
+    thread on it once, for every bucket (a thread runs one bucket
+    operation at a time, so one set of hazard slots and one limbo buffer
+    per thread suffice); each bucket owns its node pool.  Compatible with
+    every scheme the SCOT list is. *)
 
 val slots_needed : int
 
@@ -21,6 +23,9 @@ module Make (S : Smr.Smr_intf.S) : sig
   (** [buckets] defaults to 64. *)
 
   val handle : t -> tid:int -> handle
+  (** Register thread [tid] once on the map's SMR instance and return a
+      handle whose bucket handles all run on that registration. *)
+
   val insert : handle -> int -> bool
   val delete : handle -> int -> bool
   val search : handle -> int -> bool

@@ -7,9 +7,10 @@
    claims a seat, [deactivate] releases it, and the counts make the
    occupancy observable (tests, `stats`).
 
-   Counts, not booleans: the hash map legitimately registers the same
-   tid once per bucket on one shared SMR instance, so a tid may hold
-   several seats at once.  All updates are atomic CAS/fetch-and-add —
+   Counts, not booleans: two structures sharing one SMR instance may each
+   register the same tid, so a tid may hold several seats at once (the
+   hash map registers each tid once and shares it across its buckets).  All
+   updates are atomic CAS/fetch-and-add —
    seats are claimed and released from supervisor threads, not just the
    owner. *)
 

@@ -4,8 +4,8 @@
     {!Smr_intf.S.register} claims a seat, {!Smr_intf.S.deactivate}
     releases it, so a crashed domain's tid can be re-registered once its
     dead handle is deactivated (previously slots were claimed forever).
-    Counts rather than booleans because the hash map registers one
-    handle per bucket for the same tid on one shared instance. *)
+    Counts rather than booleans because several structures sharing one
+    instance may each register the same tid. *)
 
 type t
 

@@ -5,10 +5,10 @@
 
    Every shard owns a private SMR instance: reclamation pressure on one
    shard never forces scans of another shard's hazard slots, and a
-   crashed client is recovered shard-by-shard.  The per-tid cells inside
-   one shard's SMR instance are shared across that shard's buckets (the
-   structure registers per-bucket handles onto the same physical cells),
-   which is what makes the single-bracket batch dispatch sound. *)
+   crashed client is recovered shard-by-shard.  Each client thread
+   registers once on a shard's SMR instance and every bucket of its
+   handle runs on that registration, which is what makes the
+   single-bracket batch dispatch sound. *)
 
 type backend = Hashmap | Skiplist
 

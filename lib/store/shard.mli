@@ -2,9 +2,9 @@
     and one pre-registered handle per client thread, type-erased like
     {!Harness.Instance.t}.
 
-    The per-tid SMR cells inside a shard are physically shared across its
-    internal (per-bucket) handle registrations, so {!t.apply_batch} runs
-    a whole request group under one bracket soundly — see
+    Each client thread holds one registration on the shard's SMR
+    instance, shared by every bucket of its handle, so {!t.apply_batch}
+    runs a whole request group under one bracket soundly — see
     {!Scot.Hashmap.Make.apply_batch}. *)
 
 type backend = Hashmap | Skiplist

@@ -439,33 +439,48 @@ let config_huge_adaptive =
         })
     ~threads:1 ()
 
-(* The HList operation fast paths must allocate zero minor words once the
-   node pool is warm: staged protected loads, canonical link records,
-   prebuilt retire records and handle-owned traversal scratch leave nothing
-   to cons.  Asserted for EBR/HP/HPopt/HE/IBR/HYB; NR's insert legitimately
+(* The list operation fast paths (HList and HMList) must allocate zero
+   minor words once the node pool is warm: staged protected loads,
+   canonical link records, prebuilt retire records and handle-owned
+   traversal scratch, hazard-slot roles included, leave nothing to cons.
+   Asserted for EBR/HP/HPopt/HE/IBR/HYB; NR's insert legitimately
    allocates (it never reclaims, so the freelist stays empty) and
    Hyaline-1S pays a by-design per-op cons for its batch reference. *)
-let test_zero_alloc_ops_with ~config (module S : Smr.Smr_intf.S) () =
-  let module L = Scot.Harris_list.Make (S) in
-  let smr =
-    S.create ~config ~threads:1 ~slots:Scot.Harris_list.slots_needed ()
+let test_zero_alloc_ops_with ?(structure = `HList) ~config
+    (module S : Smr.Smr_intf.S) () =
+  (* The closures are built once, here; calling them conses nothing. *)
+  let insert, delete, search, quiesce =
+    match structure with
+    | `HList ->
+        let module L = Scot.Harris_list.Make (S) in
+        let smr =
+          S.create ~config ~threads:1 ~slots:Scot.Harris_list.slots_needed ()
+        in
+        let h = L.handle (L.create ~smr ~threads:1 ()) ~tid:0 in
+        (L.insert h, L.delete h, L.search h, fun () -> L.quiesce h)
+    | `HMList ->
+        let module L = Scot.Harris_michael_list.Make (S) in
+        let smr =
+          S.create ~config ~threads:1
+            ~slots:Scot.Harris_michael_list.slots_needed ()
+        in
+        let h = L.handle (L.create ~smr ~threads:1 ()) ~tid:0 in
+        (L.insert h, L.delete h, L.search h, fun () -> L.quiesce h)
   in
-  let t = L.create ~smr ~threads:1 () in
-  let h = L.handle t ~tid:0 in
   let keys = 64 in
   (* Warm-up: prime the freelist, grow the limbo buffers, touch every
      traversal path. *)
   for _ = 1 to 4 do
     for k = 0 to keys - 1 do
-      ignore (L.insert h k)
+      ignore (insert k)
     done;
     for i = 0 to (keys / 2) - 1 do
-      ignore (L.delete h ((2 * i) + 1))
+      ignore (delete ((2 * i) + 1))
     done;
     for k = 0 to keys - 1 do
-      ignore (L.search h k)
+      ignore (search k)
     done;
-    L.quiesce h
+    quiesce ()
   done;
   (* What a back-to-back pair of [Gc.minor_words] calls itself allocates
      (the boxed float results). *)
@@ -482,20 +497,20 @@ let test_zero_alloc_ops_with ~config (module S : Smr.Smr_intf.S) () =
   (* Full searches across hits, misses and the whole key range. *)
   let before = Gc.minor_words () in
   for k = 0 to keys - 1 do
-    ignore (L.search h k)
+    ignore (search k)
   done;
   let search_words = Gc.minor_words () -. before -. overhead in
   (* Insert + delete cycles over the (absent) odd keys: allocation comes
      from the warm freelist, retire hands over the prebuilt record. *)
   let before = Gc.minor_words () in
   for i = 0 to (keys / 2) - 1 do
-    ignore (L.insert h ((2 * i) + 1))
+    ignore (insert ((2 * i) + 1))
   done;
   for i = 0 to (keys / 2) - 1 do
-    ignore (L.delete h ((2 * i) + 1))
+    ignore (delete ((2 * i) + 1))
   done;
   let wr_words = Gc.minor_words () -. before -. overhead in
-  L.quiesce h;
+  quiesce ();
   if assertable then begin
     check
       (Printf.sprintf "%s: searches allocate nothing (got %.2f words)" S.name
@@ -513,6 +528,9 @@ let test_zero_alloc_ops = test_zero_alloc_ops_with ~config:config_huge
 
 let test_zero_alloc_ops_adaptive =
   test_zero_alloc_ops_with ~config:config_huge_adaptive
+
+let test_zero_alloc_hm_ops =
+  test_zero_alloc_ops_with ~structure:`HMList ~config:config_huge
 
 (* Guarded-read law: the branded bracket path ([with_op] + [protect] +
    [Guard.deref]) observes exactly the physical record installed in the
@@ -872,6 +890,8 @@ let () =
       ( "op-allocs-adaptive",
         per_scheme "zero-alloc HList ops with tuner on"
           test_zero_alloc_ops_adaptive );
+      ( "op-allocs-hm",
+        per_scheme "zero-alloc HMList ops" test_zero_alloc_hm_ops );
       ("reader-law", List.map test_reader_law Smr.Registry.all);
       ("guard-law", List.map test_guarded_read_law Smr.Registry.all);
       ( "end-op-unpublishes",

@@ -241,6 +241,54 @@ let test_store_rejects_bad_dims () =
       (fun () -> mk_store ~batch_capacity:0 ());
     ]
 
+(* --- memory: the gauge stays under the store's own bound --- *)
+
+(* A single-client churn on the benchmark's store shape (HashMap/HLN,
+   4 shards x 256 buckets), through both the immediate and the batched
+   path.  Each client thread holds one SMR registration per shard, shared
+   by all its buckets, so each shard keeps one pending Hyaline batch per
+   thread and the gauge stays under [Store.mem_bound ~stalled:0]. *)
+let test_gauge_within_bound () =
+  let threads = 1 and range = 8192 in
+  let store =
+    Store.create ~buckets:256 ~backend:Shard.Hashmap ~scheme:hln ~shards:4
+      ~threads ()
+  in
+  Array.iter
+    (fun i ->
+      let sh = Store.shard store i in
+      check_int
+        (Printf.sprintf "shard %d: one seat per tid" i)
+        threads
+        (List.assoc "active_handles" (sh.Shard.scheme_stats ())))
+    (Array.init (Store.shards store) Fun.id);
+  let bound =
+    match Store.mem_bound store ~range ~stalled:0 () with
+    | Some b -> b
+    | None -> Alcotest.fail "HLN is robust: the store must have a bound"
+  in
+  let c = Store.client store ~tid:0 in
+  let rng = Random.State.make [| 5 |] in
+  let peak = ref 0 in
+  for i = 1 to 40_000 do
+    let key = Random.State.int rng range in
+    let batched = i > 20_000 in
+    (match Random.State.int rng 10 with
+    | 0 -> if batched then Store.enqueue_get c key else ignore (Store.get c key)
+    | r when r <= 5 ->
+        if batched then Store.enqueue_put c key else ignore (Store.put c key)
+    | _ ->
+        if batched then Store.enqueue_delete c key
+        else ignore (Store.delete c key));
+    peak := max !peak (Store.unreclaimed store)
+  done;
+  Store.flush c;
+  check
+    (Printf.sprintf "peak gauge %d within the stalled:0 bound %d" !peak bound)
+    true (!peak <= bound);
+  Store.teardown store;
+  check_int "teardown drains the gauge" 0 (Store.unreclaimed store)
+
 (* --- serve soak: supervisor + chaos live, 1 crashed worker --- *)
 
 let test_serve_soak_recovers_crash () =
@@ -299,6 +347,11 @@ let () =
             test_stats_occupancy_and_totals;
           Alcotest.test_case "rejects bad dims" `Quick
             test_store_rejects_bad_dims;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "gauge within the stalled:0 bound" `Quick
+            test_gauge_within_bound;
         ] );
       ( "serve",
         [
