@@ -164,14 +164,17 @@ let test_unmarked_search_no_dup () =
   let n = 64 in
   let _, hs = mk_counted (List.init n (fun i -> 2 * i)) in
   let found, dups =
-    D.counting_dups (fun () -> List.for_all (fun i -> LD.search hs.(0) (2 * i)) (List.init n Fun.id))
+    D.counting_dups (fun () ->
+        List.for_all (fun i -> LD.search hs.(0) (2 * i)) (List.init n Fun.id))
   in
   check "every key found" true found;
   check_int "searches over an unmarked list make no dup" 0 dups;
   let absent, dups = D.counting_dups (fun () -> LD.search hs.(0) (2 * n)) in
   check "past the last key" false absent;
   check_int "a miss makes no dup" 0 dups;
-  let r, dups = D.counting_dups (fun () -> LD.range_mem hs.(0) ~lo:0 ~hi:(2 * n)) in
+  let r, dups =
+    D.counting_dups (fun () -> LD.range_mem hs.(0) ~lo:0 ~hi:(2 * n))
+  in
   check_int "range scan sees every key" n (List.length r);
   check_int "a range scan over an unmarked list makes no dup" 0 dups
 
@@ -269,7 +272,8 @@ let test_rotation_churn (module S : Smr.Smr_intf.S) () =
   L.check_invariants t;
   let l = L.to_list t in
   check (S.name ^ ": contents sorted and in range") true
-    (List.sort_uniq compare l = l && List.for_all (fun k -> k >= 0 && k < range) l)
+    (List.sort_uniq compare l = l
+    && List.for_all (fun k -> k >= 0 && k < range) l)
 
 let () =
   Alcotest.run "harris_list"
