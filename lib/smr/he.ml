@@ -73,29 +73,18 @@ let tid th = th.id
 let start_op th = Probe.hit th.id Probe.Start_op
 let end_op th = Array.iter (fun c -> Atomic.set c no_era) th.my_slots
 
-(* Publish the global era for this slot; stable-era validation replaces HP's
-   pointer re-read and needs fewer barriers in the original setting.  Era
-   validation needs no header access, so the staged reader is just the
-   handle ([desc] is unused).  The loop lives at top level with explicit
-   arguments — an inner [let rec] would capture its environment and cons a
-   closure on every call. *)
+(* Publish the global era for this slot ({!Smr_intf.stable_era_read});
+   stable-era validation replaces HP's pointer re-read and needs fewer
+   barriers in the original setting.  Era validation needs no header
+   access, so the staged reader is just the handle ([desc] is unused). *)
 type 'v reader = th
 
 let reader th _ = th
 
-let rec stable_era_loop field era cell prev =
-  let v = Atomic.get field in
-  let e = Atomic.get era in
-  if e = prev then v
-  else begin
-    Atomic.set cell e;
-    stable_era_loop field era cell e
-  end
-
 let read_field (th : _ reader) ~slot field =
   Probe.hit th.id Probe.Read;
   let cell = th.my_slots.(slot) in
-  stable_era_loop field th.global.era cell (Atomic.get cell)
+  Smr_intf.stable_era_read field th.global.era cell (Atomic.get cell)
 
 include Smr_intf.Bracket (struct
   type nonrec th = th

@@ -8,7 +8,7 @@
    finishing its operation detaches its local list and decrements the
    counters; whoever drops a counter to zero frees the whole batch — hence
    reclamation is done by *any* thread (§2.2.5), and the only per-read cost
-   is the IBR-style birth-era validation.
+   is a birth-era validation of the loaded node against the reservation.
 
    Robustness: a stalled thread with reservation era [e] is skipped by every
    batch whose minimum birth era exceeds [e], so it can only pin the finitely
@@ -129,7 +129,7 @@ let end_op th =
   in
   drain (detach ())
 
-(* IBR-style birth-era validation against the single reservation era, with
+(* Birth-era validation against the single reservation era, with
    the load and header access resolved through the prebuilt descriptor.
    Top-level loop with explicit arguments: an inner [let rec] would cons a
    closure per call. *)

@@ -2,10 +2,11 @@
    matrix.
 
    The read side is IBR's (2GE): each thread publishes a reservation
-   interval [lower, upper] and protected loads validate the node's birth
-   era against [upper], widening as needed.  The interval is what makes
-   the scheme robust — and it is also what lets the reclamation side be
-   lazy about how hard it looks at the reservations.
+   interval [lower, upper], and a protected load republishes [upper] until
+   the global era is stable across the load, never touching the node.
+   The interval is what makes the scheme robust — and it is also what lets
+   the reclamation side be lazy about how hard it looks at the
+   reservations.
 
    The reclamation side runs two sweeps:
 
@@ -141,30 +142,17 @@ let activate th =
   Atomic.set th.my_upper e;
   Atomic.set th.my_lower e
 
-type 'v reader = { r_th : th; r_desc : 'v Smr_intf.desc }
+(* The 2GE stable-era read on [upper], exactly as in IBR: the node is
+   never touched, so the staged reader is just the handle. *)
+type 'v reader = th
 
-let reader th desc = { r_th = th; r_desc = desc }
+let reader th _ = th
 
-(* Top-level validation loop (an inner [let rec] would cons a closure on
-   every protected load — same reasoning as IBR). *)
-let rec read_field_loop th (desc : _ Smr_intf.desc) field =
-  let v = Atomic.get field in
-  if desc.Smr_intf.is_null v then v
-  else
-    let b = Memory.Hdr.birth (desc.Smr_intf.hdr v) in
-    if Atomic.get th.my_lower = inactive then begin
-      activate th;
-      read_field_loop th desc field
-    end
-    else if b <= Atomic.get th.my_upper then v
-    else begin
-      Atomic.set th.my_upper (Atomic.get th.global.era);
-      read_field_loop th desc field
-    end
-
-let read_field r ~slot:_ field =
-  Probe.hit r.r_th.id Probe.Read;
-  read_field_loop r.r_th r.r_desc field
+let read_field (th : _ reader) ~slot:_ field =
+  Probe.hit th.id Probe.Read;
+  if Atomic.get th.my_lower = inactive then activate th;
+  Smr_intf.stable_era_read field th.global.era th.my_upper
+    (Atomic.get th.my_upper)
 
 include Smr_intf.Bracket (struct
   type nonrec th = th

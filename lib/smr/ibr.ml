@@ -1,11 +1,14 @@
 (* IBR: interval-based reclamation (2GE variant, Wen et al.).
 
    Each thread publishes a single reservation interval [lower, upper]
-   covering the birth eras of everything it may hold.  A protected read
-   checks the loaded node's birth era against [upper] and widens the
-   reservation when needed; a retired node is reclaimable once its
-   [birth, retire] lifetime overlaps no thread's interval.  No per-pointer
-   slots, which is why IBR "simplifies the programming model" (§2.2.4).
+   covering the birth eras of everything it may hold.  A protected read is
+   the 2GE stable-era loop: load the field, re-read the global era, and
+   republish [upper] only if the era moved since it was published.  The
+   read never touches the loaded node: anything reachable at the load was
+   born at or before the era then current, which [upper] covers.  A retired
+   node is reclaimable once its [birth, retire] lifetime overlaps no
+   thread's interval.  No per-pointer slots, which is why IBR "simplifies
+   the programming model" (§2.2.4).
 
    The reservation is stored as two unboxed [Padded] int cells (lower /
    upper), like the original's two-word per-thread record, so the
@@ -13,9 +16,9 @@
    Scanners tolerate word-by-word reads because of the store/load order
    below ([Atomic] operations are seq_cst):
 
-   - [start_op] stores upper, then lower; [read] widens only upper (it
-     grows monotonically within an operation); [end_op] deactivates lower
-     first, then resets upper.
+   - [start_op] stores upper, then lower; [read] moves only upper (to the
+     current era, so it grows monotonically within an operation);
+     [end_op] deactivates lower first, then resets upper.
    - a scanning pass reads lower first and skips the thread when it is
      [inactive]; otherwise the upper it reads afterwards is at least the
      upper that accompanied that lower — every torn interval it can
@@ -117,33 +120,19 @@ let activate th =
   Atomic.set th.my_upper e;
   Atomic.set th.my_lower e
 
-(* Birth-era validation: widen [upper] and re-load until the loaded node's
-   birth fits the reservation, with the load and header access resolved
-   through the prebuilt descriptor.  The loop is a top-level function over
-   explicit arguments — an inner [let rec] would capture the environment
-   and cons a closure on every protected load. *)
-type 'v reader = { r_th : th; r_desc : 'v Smr_intf.desc }
+(* 2GE read: the stable-era loop of {!Smr_intf.stable_era_read} on
+   [upper].  It never touches the loaded node, so the staged reader is just
+   the handle ([desc] is unused).  A load that finds the interval withdrawn
+   ([lower = inactive]) first republishes it, as [start_op] would. *)
+type 'v reader = th
 
-let reader th desc = { r_th = th; r_desc = desc }
+let reader th _ = th
 
-let rec read_field_loop th (desc : _ Smr_intf.desc) field =
-  let v = Atomic.get field in
-  if desc.Smr_intf.is_null v then v
-  else
-    let b = Memory.Hdr.birth (desc.Smr_intf.hdr v) in
-    if Atomic.get th.my_lower = inactive then begin
-      activate th;
-      read_field_loop th desc field
-    end
-    else if b <= Atomic.get th.my_upper then v
-    else begin
-      Atomic.set th.my_upper (Atomic.get th.global.era);
-      read_field_loop th desc field
-    end
-
-let read_field r ~slot:_ field =
-  Probe.hit r.r_th.id Probe.Read;
-  read_field_loop r.r_th r.r_desc field
+let read_field (th : _ reader) ~slot:_ field =
+  Probe.hit th.id Probe.Read;
+  if Atomic.get th.my_lower = inactive then activate th;
+  Smr_intf.stable_era_read field th.global.era th.my_upper
+    (Atomic.get th.my_upper)
 
 include Smr_intf.Bracket (struct
   type nonrec th = th

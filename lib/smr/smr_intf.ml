@@ -9,10 +9,12 @@
    reclamation.
 
    The protected load is polymorphic in the link value: HP validates by
-   re-loading the same field, era-based schemes validate the node's birth
-   era, EBR/NR just load.  This lets a single data-structure implementation
-   (a functor over [S]) serve all schemes — exactly the paper's point that
-   SCOT adapts the data structure and keeps the SMR scheme intact. *)
+   re-loading the same field, HE/IBR/HYB republish the global era until it
+   is stable across the load ({!stable_era_read}), Hyaline-1S validates the
+   node's birth era, EBR/NR just load.  This lets a single data-structure
+   implementation (a functor over [S]) serve all schemes — exactly the
+   paper's point that SCOT adapts the data structure and keeps the SMR
+   scheme intact. *)
 
 (* Raised by a neutralizing scheme (DBR) from inside a protected load or
    [start_op] when a reclaimer has posted a neutralization into this
@@ -40,6 +42,25 @@ type 'v desc = {
   is_null : 'v -> bool;
   hdr : 'v -> Memory.Hdr.t;
 }
+
+(* The 2GE stable-era protected load (Wen et al.), shared by HE, IBR and
+   HYB.  [cell] holds this thread's published era, [prev] its current
+   value.  Load [field], then re-read the global [era]: if it still equals
+   the published era, the value is covered — it was reachable at the load,
+   so it was born at or before the era then current.  Otherwise publish
+   the new era and retry.  The node itself is never touched (no [desc]).
+   Top level with explicit arguments: an inner [let rec] would capture its
+   environment and cons a closure on every protected load.  The era is
+   typed [int] so [e = prev] compiles to an integer compare, not a call to
+   polymorphic equality. *)
+let rec stable_era_read field (era : int Atomic.t) cell (prev : int) =
+  let v = Atomic.get field in
+  let e = Atomic.get era in
+  if e = prev then v
+  else begin
+    Atomic.set cell e;
+    stable_era_read field era cell e
+  end
 
 (* Clamp bounds for the adaptive threshold controller (Tuner).  The
    controller may move the effective limbo threshold (Hyaline: batch

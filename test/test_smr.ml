@@ -1,7 +1,8 @@
 (* Behavioural tests for every SMR scheme through the uniform interface:
    reclamation of unprotected retires, protection across reads and dups,
-   robustness bounds with a stalled thread (Theorem 1's setting), and the
-   Hyaline-specific any-thread reclamation. *)
+   robustness bounds with a stalled thread (Theorem 1's setting), the
+   Hyaline-specific any-thread reclamation, and the header-free 2GE
+   stable-era read of HE, IBR and HYB. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -658,6 +659,108 @@ let test_end_op_unpublishes (module S : Smr.Smr_intf.S) () =
       (Memory.Hdr.is_reclaimed node.N.hdr)
   end
 
+(* The schemes whose protected load is the 2GE stable-era loop
+   ([Smr_intf.stable_era_read]). *)
+let stable_era_schemes : (module Smr.Smr_intf.S) list =
+  [ (module Smr.Ibr); (module Smr.Hybrid); (module Smr.He) ]
+
+(* A stable-era read never looks at the loaded node: a descriptor whose
+   null test and header projection raise must not be consulted, whether
+   the era is unchanged since the bracket began or has moved. *)
+let test_header_free_read (module S : Smr.Smr_intf.S) () =
+  let raising : int Smr.Smr_intf.desc =
+    {
+      is_null = (fun _ -> Alcotest.fail "read called desc.is_null");
+      hdr = (fun _ -> Alcotest.fail "read called desc.hdr");
+    }
+  in
+  let t = S.create ~config:config_small ~threads:2 ~slots:2 () in
+  let reader = S.register t ~tid:0 in
+  let writer = S.register t ~tid:1 in
+  let rdr = S.reader reader raising in
+  let field = Atomic.make 7 in
+  let read tok =
+    Smr.Smr_intf.Guard.deref (S.protect rdr tok ~slot:0 field) tok
+  in
+  let first, second =
+    S.with_op reader
+      {
+        Smr.Smr_intf.op0 =
+          (fun tok ->
+            let first = read tok in
+            (* Move the era so the second read takes the republish branch. *)
+            for _ = 1 to 8 do
+              let hdr = Memory.Hdr.create () in
+              S.on_alloc writer hdr;
+              S.retire writer (reclaimable hdr)
+            done;
+            Atomic.set field 11;
+            (first, read tok));
+      }
+  in
+  check_int "first read returns the loaded value" 7 first;
+  check_int "read after an era move returns the loaded value" 11 second
+
+(* 2GE safety with two handles.  The reader's bracket begins at era e0;
+   the writer then moves the era by at least 2 and links a node [n] born
+   at the new era.  The reader's protected load of [n] must publish an
+   upper bound covering [n]'s birth: while the reader stays in its
+   bracket, no number of writer retires and flushes may reclaim [n].  A
+   read that returned the value without republishing the moved era would
+   leave the reader's interval ending before [n]'s birth, and the
+   interval sweep would free [n] under it.  [stale_eras = 1] makes HYB
+   escalate to that interval sweep; its clean single-bound sweep pins [n]
+   through the reader's lower bound alone. *)
+let test_stable_era_safety (module S : Smr.Smr_intf.S) () =
+  let config =
+    Smr.Smr_intf.make_config ~limbo_threshold:4 ~epoch_freq:4 ~batch_size:2
+      ~stale_eras:1 ~threads:2 ()
+  in
+  let t = S.create ~config ~threads:2 ~slots:2 () in
+  let stat key = List.assoc key (S.stats t) in
+  let reader = S.register t ~tid:0 in
+  let writer = S.register t ~tid:1 in
+  let retire_fillers k =
+    for _ = 1 to k do
+      let hdr = Memory.Hdr.create () in
+      S.on_alloc writer hdr;
+      S.retire writer (reclaimable hdr)
+    done
+  in
+  let cell = Atomic.make None in
+  let rdr = S.reader reader hdr_desc in
+  let n =
+    S.with_op reader
+      {
+        Smr.Smr_intf.op0 =
+          (fun tok ->
+            let e0 = stat "era" in
+            retire_fillers 8;
+            check "era moved by at least 2" true (stat "era" >= e0 + 2);
+            let n = Memory.Hdr.create () in
+            S.on_alloc writer n;
+            Atomic.set cell (Some n);
+            let g = S.protect rdr tok ~slot:0 cell in
+            (match Smr.Smr_intf.Guard.deref g tok with
+            | Some h -> check "reader got n" true (h == n)
+            | None -> Alcotest.fail "reader saw an empty cell");
+            Atomic.set cell None;
+            S.retire writer (reclaimable n);
+            for _ = 1 to 6 do
+              retire_fillers 8;
+              S.flush writer;
+              check "n survives while the reader is in its bracket" false
+                (Memory.Hdr.is_reclaimed n)
+            done;
+            n);
+      }
+  in
+  if S.name = "HYB" then
+    check "HYB ran its interval sweep" true (stat "full_passes" > 0);
+  S.flush writer;
+  check "n reclaimed once the reader left its bracket" true
+    (Memory.Hdr.is_reclaimed n)
+
 (* make_config must reject non-positive calibration values with an error
    naming the offending field (a zero [epoch_freq] used to surface as a
    [Division_by_zero] deep inside retire). *)
@@ -897,6 +1000,20 @@ let () =
       ( "end-op-unpublishes",
         per_scheme "protection dies with the bracket" test_end_op_unpublishes
       );
+      ( "stable-era",
+        List.concat_map
+          (fun (module S : Smr.Smr_intf.S) ->
+            [
+              Alcotest.test_case
+                (Printf.sprintf "header-free read (%s)" S.name)
+                `Quick
+                (test_header_free_read (module S));
+              Alcotest.test_case
+                (Printf.sprintf "2GE safety, two handles (%s)" S.name)
+                `Quick
+                (test_stable_era_safety (module S));
+            ])
+          stable_era_schemes );
       ( "config",
         [
           Alcotest.test_case "make_config validation" `Quick
